@@ -36,9 +36,11 @@ JoinRunInfo CollectRunInfo(const WorkerTeam& team, double wall_seconds) {
   info.wall_seconds = wall_seconds;
   info.critical_path_seconds = team.CriticalPathSeconds();
   info.workers.reserve(team.size());
+  info.worker_cores.reserve(team.size());
   for (uint32_t w = 0; w < team.size(); ++w) {
     info.workers.push_back(team.stats(w));
     info.aggregate += team.stats(w);
+    info.worker_cores.push_back(team.core(w));
   }
   info.output_tuples = info.aggregate.TotalCounters().output_tuples;
   return info;

@@ -27,6 +27,10 @@ struct JoinRunInfo {
   /// Stats summed over workers.
   WorkerStats aggregate;
 
+  /// Core each worker was placed on (index == worker id): the team's
+  /// numa::Topology::CoreForWorker placement for its lane.
+  std::vector<uint32_t> worker_cores;
+
   /// Output tuples delivered to consumers.
   uint64_t output_tuples = 0;
 

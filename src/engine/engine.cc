@@ -58,8 +58,9 @@ uint32_t Engine::TeamSizeFor(const JoinSpec& spec) const {
 }
 
 WorkerTeam& Engine::TeamFor(uint32_t team_size) {
-  if (team_ == nullptr || team_->size() != team_size) {
-    team_ = std::make_unique<WorkerTeam>(topology_, team_size);
+  if (team_ == nullptr || team_->size() != team_size ||
+      team_->lane() != lane_) {
+    team_ = std::make_unique<WorkerTeam>(topology_, team_size, lane_);
     ++stats_.team_spawns;
     if (donation_ != nullptr) team_->set_donation(donation_);
   }
@@ -420,6 +421,7 @@ std::string JoinReport::ExplainAnalyzeString() const {
   analyze.measured_seconds = measured_seconds;
   analyze.output_tuples = info.output_tuples;
   analyze.run_source = RunSourceName(run_source);
+  analyze.worker_cores = info.worker_cores;
   return plan.ToString(analyze);
 }
 
@@ -460,6 +462,10 @@ std::string JoinReport::ToJson() const {
   for (double s : measured_phase_seconds) w.Value(s);
   w.EndArray();
   w.Field("output_tuples", info.output_tuples);
+  w.Key("worker_cores");
+  w.BeginArray();
+  for (uint32_t core : info.worker_cores) w.Value(core);
+  w.EndArray();
   w.EndObject();
 
   const PerfCounters totals = info.aggregate.TotalCounters();

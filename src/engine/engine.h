@@ -193,6 +193,14 @@ class Engine {
   /// opts out. The pool must outlive the engine.
   void set_donation(DonationPool* pool);
 
+  /// Tags this session as join-service lane `lane` (1-based; 0, the
+  /// default, is a standalone engine). Every team the session spawns
+  /// carries the lane: it places the team's workers on the lane's own
+  /// cores (numa::Topology::CoreForWorker) and attributes donated
+  /// morsels in traces. A changed lane re-spawns the team at the next
+  /// query.
+  void set_lane(uint32_t lane) { lane_ = lane; }
+
   /// Attaches a cross-query run cache (cache/run_cache.h): P-MPSM
   /// public runs are installed after a cold sort and reused —
   /// merge-on-read over any ingested deltas — on repeat joins of the
@@ -227,7 +235,7 @@ class Engine {
 
  private:
   /// Returns the session team, spawning or re-spawning only when the
-  /// required size changed.
+  /// required size (or the session's lane) changed.
   WorkerTeam& TeamFor(uint32_t team_size);
 
   numa::Topology topology_;
@@ -235,6 +243,7 @@ class Engine {
   std::unique_ptr<WorkerTeam> team_;
   SessionStats stats_;
   DonationPool* donation_ = nullptr;
+  uint32_t lane_ = 0;
   cache::RunCache* run_cache_ = nullptr;
   /// Session cost model under recalibration; unset until the first
   /// recalibrating query resolves EngineOptions::machine.

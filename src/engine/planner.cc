@@ -744,6 +744,14 @@ std::string JoinPlan::ToString(const ExplainAnalyze& analyze) const {
     out += ")";
   }
   out += "\n";
+  if (!analyze.worker_cores.empty()) {
+    out += "  placement: worker cores";
+    for (uint32_t core : analyze.worker_cores) {
+      out += " ";
+      out += std::to_string(core);
+    }
+    out += "\n";
+  }
   return out;
 }
 

@@ -351,6 +351,9 @@ struct JoinPlan {
     uint64_t output_tuples = 0;
     /// Optional provenance note (RunSourceName); null omits the line.
     const char* run_source = nullptr;
+    /// Core of each worker (JoinRunInfo::worker_cores); empty omits
+    /// the placement line.
+    std::vector<uint32_t> worker_cores;
   };
 
   /// Multi-line human-readable plan (EXPLAIN-style).

@@ -113,15 +113,19 @@ Topology Topology::Probe() {
   return t;
 }
 
-uint32_t Topology::CoreForWorker(uint32_t w, uint32_t team_size) const {
+uint32_t Topology::CoreForWorker(uint32_t w, uint32_t team_size,
+                                 uint32_t team_index) const {
   // Socket-major round robin: worker 0 -> node 0 core 0,
   // worker 1 -> node 1 core 0, ... so memory bandwidth spreads across
   // controllers even for small teams, mirroring the paper's placement.
-  (void)team_size;
+  // Team k is offset by whole node rounds (the cores per node a team
+  // occupies), keeping every worker on the same node for every team.
   const uint32_t nodes = num_nodes();
   const NodeId node = w % nodes;
   const auto& cores = cores_of_node_[node];
-  return cores[(w / nodes) % cores.size()];
+  const uint64_t rounds_per_team = (team_size + nodes - 1) / nodes;
+  const uint64_t slot = w / nodes + uint64_t{team_index} * rounds_per_team;
+  return cores[slot % cores.size()];
 }
 
 std::string Topology::ToString() const {

@@ -57,9 +57,18 @@ class Topology {
   /// Assigns worker `w` of a team of `team_size` to a core, spreading
   /// workers round-robin across nodes first (socket-major) so that a
   /// T-worker team uses T distinct memory controllers where possible.
-  uint32_t CoreForWorker(uint32_t w, uint32_t team_size) const;
+  ///
+  /// `team_index` separates concurrent teams (the join service's lanes):
+  /// team k starts k * ceil(team_size / num_nodes) cores further into
+  /// each node, so teams whose workers fit the machine get disjoint
+  /// cores, and placement wraps within the node once they do not. The
+  /// node — w % num_nodes — never depends on `team_index`, so
+  /// NodeForWorker (chunk homing, arenas, run nodes) is the same for
+  /// every team. Team 0 is the placement of a standalone engine.
+  uint32_t CoreForWorker(uint32_t w, uint32_t team_size,
+                         uint32_t team_index = 0) const;
 
-  /// Node hosting worker `w` under CoreForWorker placement.
+  /// Node hosting worker `w` under CoreForWorker placement (any team).
   NodeId NodeForWorker(uint32_t w, uint32_t team_size) const {
     return NodeOfCore(CoreForWorker(w, team_size));
   }

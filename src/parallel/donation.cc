@@ -61,12 +61,14 @@ void DonationPool::Close(Ticket ticket) {
         ticket.generation) {
       return;  // already closed and re-published by someone else
     }
-    entry.open.store(false, std::memory_order_release);
+    entry.open.store(false, std::memory_order_seq_cst);
   }
   // Wait until no guest is mid-morsel: the acquire pairs with the
   // guest's release decrement, so every donated morsel's products are
-  // visible to the host team when Close returns.
-  while (entry.in_flight.load(std::memory_order_acquire) != 0) {
+  // visible to the host team when Close returns. The store of open and
+  // this load, like a guest's increment and re-check, are seq_cst: a
+  // guest that increments after this load saw 0 must see open false.
+  while (entry.in_flight.load(std::memory_order_seq_cst) != 0) {
     std::this_thread::yield();
   }
   std::lock_guard<std::mutex> lock(mu_);
@@ -83,11 +85,14 @@ bool DonationPool::TryHelp(uint64_t session, numa::NodeId guest_node,
   for (uint32_t i = 0; i < max_entries_; ++i) {
     Entry& entry = entries_[i];
     if (!entry.open.load(std::memory_order_acquire)) continue;
-    if (entry.session == session) continue;
-    entry.in_flight.fetch_add(1, std::memory_order_acq_rel);
+    entry.in_flight.fetch_add(1, std::memory_order_seq_cst);
     // Re-check under the in-flight guard: Close observes either our
-    // increment (and waits for us) or our bail-out below.
-    if (!entry.open.load(std::memory_order_acquire)) {
+    // increment (and waits for us) or our bail-out below. Only a
+    // publication seen open *here* has its fields — session included —
+    // published to us (acquire pairs with Publish's release of open);
+    // before the guard, Publish may be rewriting a recycled slot.
+    if (!entry.open.load(std::memory_order_seq_cst) ||
+        entry.session == session) {
       entry.in_flight.fetch_sub(1, std::memory_order_release);
       continue;
     }

@@ -1,10 +1,11 @@
 // Worker team: the unit of intra-operator parallelism.
 //
 // A WorkerTeam spawns T threads, pins each to a core chosen by the NUMA
-// topology (socket-major round robin), gives each worker a private
-// node-homed arena, and runs a job function on every worker. Workers
-// coordinate only through the team barrier; there is no shared mutable
-// state (commandment C3).
+// topology (socket-major round robin, offset by the team's service lane
+// so concurrent lanes get disjoint cores — numa::Topology::
+// CoreForWorker), gives each worker a private node-homed arena, and runs
+// a job function on every worker. Workers coordinate only through the
+// team barrier; there is no shared mutable state (commandment C3).
 #pragma once
 
 #include <cstdint>
@@ -63,18 +64,30 @@ class PhaseScope {
 class WorkerTeam {
  public:
   /// Creates a team of `team_size` workers placed on `topology`.
-  WorkerTeam(const numa::Topology& topology, uint32_t team_size);
+  /// `lane` is the join-service lane the team serves (1-based; 0 =
+  /// outside a service). Lane L >= 1 places its workers as topology
+  /// team L - 1, so lane 1 and a standalone team share one placement
+  /// and lanes get pairwise disjoint cores while they fit the machine.
+  /// The lane also attributes donated morsels in traces
+  /// (docs/observability.md).
+  WorkerTeam(const numa::Topology& topology, uint32_t team_size,
+             uint32_t lane = 0);
   ~WorkerTeam();
 
   WorkerTeam(const WorkerTeam&) = delete;
   WorkerTeam& operator=(const WorkerTeam&) = delete;
 
   /// Runs `job(ctx)` on every worker thread and waits for completion.
-  /// Per-worker stats are reset at the start of each Run.
+  /// Per-worker stats are reset at the start of each Run. Each thread
+  /// is pinned to core(w); a refused pin is advisory (the worker runs
+  /// unpinned) and counts in mpsm_worker_pin_failures_total.
   void Run(const std::function<void(WorkerContext&)>& job);
 
   uint32_t size() const { return team_size_; }
   const numa::Topology& topology() const { return *topology_; }
+
+  /// Core worker `w` is placed (and, where the OS allows, pinned) on.
+  uint32_t core(uint32_t w) const { return cores_[w]; }
 
   /// Stats of worker `w` from the most recent Run.
   const WorkerStats& stats(uint32_t w) const { return stats_[w]; }
@@ -106,21 +119,21 @@ class WorkerTeam {
   void set_trace(obs::TraceSink* sink) { trace_ = sink; }
   obs::TraceSink* trace() const { return trace_; }
 
-  /// Service lane this team serves (trace attribution of donated
-  /// morsels, docs/observability.md); 0 outside a JoinService.
-  void set_lane(uint32_t lane) { lane_ = lane; }
+  /// Service lane this team serves (placement and trace attribution);
+  /// 0 outside a JoinService. Fixed at construction.
   uint32_t lane() const { return lane_; }
 
  private:
   const numa::Topology* topology_;
   uint32_t team_size_;
+  uint32_t lane_;
+  std::vector<uint32_t> cores_;  // worker -> pinned core
   Barrier barrier_;
   std::vector<WorkerStats> stats_;
   std::vector<std::unique_ptr<numa::Arena>> arenas_;
   DonationPool* donation_ = nullptr;
   uint64_t donation_session_ = 0;
   obs::TraceSink* trace_ = nullptr;
-  uint32_t lane_ = 0;
 };
 
 }  // namespace mpsm

@@ -98,6 +98,9 @@ JoinService::JoinService(const numa::Topology& topology, ServiceOptions options)
   for (uint32_t i = 0; i < options_.lanes; ++i) {
     engines_.push_back(
         std::make_unique<engine::Engine>(topology_, lane_options));
+    // Lanes are 1-based (0 = outside a service): each lane's teams get
+    // their own cores and attribute donated morsels to the lane.
+    engines_.back()->set_lane(i + 1);
     if (donation_ != nullptr) engines_.back()->set_donation(donation_.get());
     if (run_cache_ != nullptr) {
       engines_.back()->set_run_cache(run_cache_.get());
@@ -398,10 +401,6 @@ std::vector<JoinService::StatePtr> JoinService::TryAdmitLocked(
 
 void JoinService::ExecuteGroup(engine::Engine& engine, uint32_t lane,
                                std::vector<StatePtr>& group) {
-  // Tag the lane's team (1-based; 0 = outside a service) so donated
-  // morsels executed by its idle workers attribute to this lane in the
-  // owner query's trace.
-  engine.EnsureTeam(group.front()->team_size).set_lane(lane + 1);
   // Sort the shared public input once for the whole group. On failure
   // fall back to per-query sorting — correctness never depends on the
   // batching fast path. With the run cache attached, the engine itself

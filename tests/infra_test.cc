@@ -7,6 +7,7 @@
 #include <numeric>
 #include <set>
 #include <thread>
+#include <tuple>
 
 #include "numa/arena.h"
 #include "numa/topology.h"
@@ -64,6 +65,72 @@ TEST(TopologyTest, WorkerPlacementSpreadsAcrossNodes) {
     cores.insert(topo.CoreForWorker(w, 32));
   }
   EXPECT_EQ(cores.size(), 32u);
+}
+
+// Team 0 is the standalone placement: socket-major round robin with no
+// offset, identical whatever the team size.
+TEST(TopologyTest, TeamZeroKeepsStandalonePlacement) {
+  for (const auto& topo :
+       {numa::Topology::Simulated(1, 4), numa::Topology::Simulated(4, 8),
+        numa::Topology::HyPer1()}) {
+    const uint32_t nodes = topo.num_nodes();
+    for (uint32_t team_size : {1u, 2u, 4u, 32u, 64u}) {
+      for (uint32_t w = 0; w < team_size; ++w) {
+        const auto& cores = topo.CoresOfNode(w % nodes);
+        EXPECT_EQ(topo.CoreForWorker(w, team_size, 0),
+                  cores[(w / nodes) % cores.size()])
+            << topo.ToString() << " team " << team_size << " worker " << w;
+        EXPECT_EQ(topo.CoreForWorker(w, team_size),
+                  topo.CoreForWorker(w, team_size, 0));
+      }
+    }
+  }
+}
+
+TEST(TopologyTest, TwoTeamsOfTwoGetDisjointCores) {
+  const auto topo = numa::Topology::Simulated(1, 4);
+  std::set<uint32_t> team0;
+  std::set<uint32_t> team1;
+  for (uint32_t w = 0; w < 2; ++w) {
+    team0.insert(topo.CoreForWorker(w, 2, 0));
+    team1.insert(topo.CoreForWorker(w, 2, 1));
+  }
+  EXPECT_EQ(team0, (std::set<uint32_t>{0, 1}));
+  EXPECT_EQ(team1, (std::set<uint32_t>{2, 3}));
+}
+
+TEST(TopologyTest, TeamOffsetKeepsNodesAndCoversTheMachine) {
+  const auto topo = numa::Topology::Simulated(4, 8);
+  std::set<uint32_t> cores;
+  for (uint32_t team = 0; team < 8; ++team) {
+    for (uint32_t w = 0; w < 4; ++w) {
+      const uint32_t core = topo.CoreForWorker(w, 4, team);
+      EXPECT_EQ(topo.NodeOfCore(core), topo.NodeForWorker(w, 4))
+          << "team " << team << " worker " << w;
+      EXPECT_TRUE(cores.insert(core).second)
+          << "core " << core << " placed twice";
+    }
+  }
+  EXPECT_EQ(cores.size(), 32u);
+}
+
+TEST(TopologyTest, TeamPlacementWrapsWhenTeamsExceedCores) {
+  // 3 teams x 3 workers on 4 cores, and 5 teams x 2 workers on 2x2:
+  // placement wraps within each worker's node and stays in range.
+  for (const auto& [topo, team_size, teams] :
+       {std::tuple{numa::Topology::Simulated(1, 4), 3u, 3u},
+        std::tuple{numa::Topology::Simulated(2, 2), 2u, 5u}}) {
+    std::set<uint32_t> cores;
+    for (uint32_t team = 0; team < teams; ++team) {
+      for (uint32_t w = 0; w < team_size; ++w) {
+        const uint32_t core = topo.CoreForWorker(w, team_size, team);
+        ASSERT_LT(core, topo.num_cores());
+        EXPECT_EQ(topo.NodeOfCore(core), topo.NodeForWorker(w, team_size));
+        cores.insert(core);
+      }
+    }
+    EXPECT_EQ(cores.size(), topo.num_cores());
+  }
 }
 
 TEST(TopologyTest, ProbeNeverFails) {
@@ -213,6 +280,24 @@ TEST(WorkerTeamTest, RunsAllWorkersWithCorrectContext) {
   EXPECT_EQ(std::accumulate(seen.begin(), seen.end(), 0u), 8u);
   for (uint32_t w = 0; w < 8; ++w) {
     EXPECT_EQ(nodes[w], topo.NodeForWorker(w, 8));
+  }
+}
+
+TEST(WorkerTeamTest, LanePlacesWorkersOnItsOwnCores) {
+  const auto topo = numa::Topology::Simulated(2, 4);
+  // Lane 0 (standalone) and lane 1 share the standalone placement;
+  // lane L places as topology team L - 1.
+  for (uint32_t lane : {0u, 1u, 2u, 3u}) {
+    WorkerTeam team(topo, 4, lane);
+    EXPECT_EQ(team.lane(), lane);
+    std::vector<uint32_t> cores(4, 99);
+    team.Run([&](WorkerContext& ctx) { cores[ctx.worker_id] = ctx.core; });
+    for (uint32_t w = 0; w < 4; ++w) {
+      const uint32_t expected =
+          topo.CoreForWorker(w, 4, lane == 0 ? 0 : lane - 1);
+      EXPECT_EQ(cores[w], expected) << "lane " << lane << " worker " << w;
+      EXPECT_EQ(team.core(w), expected);
+    }
   }
 }
 

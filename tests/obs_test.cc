@@ -20,6 +20,7 @@
 #include "numa/topology.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "parallel/worker_team.h"
 #include "service/join_service.h"
 #include "workload/generator.h"
 
@@ -250,6 +251,57 @@ TEST(TraceDisabledTest, RecordHelpersAllocateNothing) {
   }
   g_count_allocations.store(false);
   EXPECT_EQ(g_test_allocations.load(), before);
+}
+
+// --- Worker placement: report, EXPLAIN ANALYZE, pin failures -------
+
+TEST(PlacementReportTest, WorkerCoresInJsonAndExplainAnalyze) {
+  const auto topology = numa::Topology::Simulated(2, 4);
+  workload::DatasetSpec data;
+  data.r_tuples = 1u << 12;
+  const auto dataset = workload::Generate(topology, 4, data);
+
+  engine::Engine engine(topology);
+  engine.set_lane(2);  // a second service lane: offset placement
+  MaxPayloadSumFactory consumers(4);
+  engine::JoinSpec spec;
+  spec.r = &dataset.r;
+  spec.s = &dataset.s;
+  spec.consumers = &consumers;
+  auto report = engine.Execute(spec);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+
+  ASSERT_EQ(report->info.worker_cores.size(), 4u);
+  std::string json_cores = "\"worker_cores\":[";
+  std::string explain_cores = "placement: worker cores";
+  for (uint32_t w = 0; w < 4; ++w) {
+    const uint32_t core = topology.CoreForWorker(w, 4, /*team_index=*/1);
+    EXPECT_EQ(report->info.worker_cores[w], core);
+    json_cores += (w == 0 ? "" : ",") + std::to_string(core);
+    explain_cores += " " + std::to_string(core);
+  }
+  json_cores += "]";
+  EXPECT_NE(report->ToJson().find(json_cores), std::string::npos)
+      << report->ToJson();
+  EXPECT_NE(report->ExplainAnalyzeString().find(explain_cores + "\n"),
+            std::string::npos)
+      << report->ExplainAnalyzeString();
+}
+
+TEST(PlacementReportTest, RefusedPinsAreCounted) {
+  // Worker 1 lands on node 1's first core, id 1 << 16: no host this
+  // runs on has that CPU, so the OS refuses the pin.
+  const auto topology = numa::Topology::Simulated(2, 1u << 16);
+  Counter& failures = MetricsRegistry::Global().counter(
+      "mpsm_worker_pin_failures_total",
+      "Worker threads the OS refused to pin to their placement core");
+  const uint64_t before = failures.Value();
+  WorkerTeam team(topology, 2);
+  team.Run([](WorkerContext&) {});
+  EXPECT_GE(failures.Value(), before + 1);
+  EXPECT_NE(MetricsRegistry::Global().ToPrometheusText().find(
+                "mpsm_worker_pin_failures_total"),
+            std::string::npos);
 }
 
 // --- Per-query trace isolation under a concurrent service ----------

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -239,6 +240,77 @@ TEST(ServiceAdmissionTest, FullQueueRejectsAndCancelRemovesQueuedQuery) {
   EXPECT_EQ(stats.completed, 1u);
 }
 
+// ------------------------------------------------------- placement
+
+TEST(ServicePlacementTest, LanesRunOnDisjointCores) {
+  const auto topology = Topo();  // 2 nodes x 4 cores; 2 lanes x 4 workers
+  workload::DatasetSpec dspec;
+  dspec.r_tuples = 1u << 12;
+  dspec.seed = 61;
+  const auto gate_data = workload::Generate(topology, kChunks, dspec);
+  const auto other = MakeDataset(topology, 1u << 12, 62);
+
+  ServiceOptions options;
+  options.lanes = 2;
+  JoinService svc(topology, options);
+
+  // Block one lane inside a query so the next (different S, never
+  // batched with it) necessarily runs on the other lane.
+  GateFactory gate(kChunks);
+  engine::JoinSpec gated;
+  gated.r = &gate_data.r;
+  gated.s = &gate_data.s;
+  gated.consumers = &gate;
+  auto gated_id = svc.Submit(gated);
+  ASSERT_TRUE(gated_id.ok());
+  while (svc.stats().peak_reserved_bytes == 0) std::this_thread::yield();
+
+  CountFactory counts(kChunks);
+  engine::JoinSpec spec;
+  spec.r = &other.r;
+  spec.s = &other.s;
+  spec.consumers = &counts;
+  auto id = svc.Submit(spec);
+  ASSERT_TRUE(id.ok());
+  auto report = svc.Wait(*id);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  gate.Open();
+  auto gated_report = svc.Wait(*gated_id);
+  ASSERT_TRUE(gated_report.ok()) << gated_report.status().ToString();
+
+  std::set<uint32_t> cores;
+  for (const auto* r : {&*report, &*gated_report}) {
+    ASSERT_EQ(r->info.worker_cores.size(), kChunks);
+    for (uint32_t w = 0; w < kChunks; ++w) {
+      // Every worker stays on the node its chunk is homed on.
+      EXPECT_EQ(topology.NodeOfCore(r->info.worker_cores[w]),
+                topology.NodeForWorker(w, kChunks));
+      cores.insert(r->info.worker_cores[w]);
+    }
+  }
+  EXPECT_EQ(cores.size(), 2 * kChunks) << "lanes share cores";
+}
+
+TEST(ServicePlacementTest, EngineLaneSurvivesTeamRespawn) {
+  const auto topology = Topo();
+  engine::Engine engine(topology);
+  EXPECT_EQ(engine.EnsureTeam(4).lane(), 0u);  // standalone by default
+  engine.set_lane(2);
+  for (uint32_t size : {4u, 2u}) {
+    WorkerTeam& team = engine.EnsureTeam(size);
+    EXPECT_EQ(team.size(), size);
+    EXPECT_EQ(team.lane(), 2u);
+    for (uint32_t w = 0; w < size; ++w) {
+      EXPECT_EQ(team.core(w), topology.CoreForWorker(w, size, 1));
+    }
+  }
+  EXPECT_EQ(engine.stats().team_spawns, 3u);
+  // A changed lane re-spawns the team at the same size.
+  engine.set_lane(1);
+  EXPECT_EQ(engine.EnsureTeam(2).lane(), 1u);
+  EXPECT_EQ(engine.stats().team_spawns, 4u);
+}
+
 // -------------------------------------------------------- donation
 
 TEST(DonationPoolTest, GuestExecutesForeignMorselsUntilClose) {
@@ -319,6 +391,75 @@ TEST(DonationPoolTest, GuestUnblocksStragglerPhase) {
   helper.join();
   EXPECT_GT(donated.load(), 0u);
   EXPECT_EQ(pool.morsels_donated(), donated.load());
+}
+
+// Session of the helper thread running a body (0 on host threads).
+thread_local uint64_t tl_helper_session = 0;
+
+TEST(DonationPoolTest, RecycledSlotsUnderConcurrentPublishCloseAndHelp) {
+  // Two hosts publish and close rounds through a one-slot pool, so the
+  // slot passes between sessions continuously, while two helpers poll
+  // it: one a stranger, one sharing host 0's session. Every morsel runs
+  // exactly once and no session ever helps itself. Under
+  // ThreadSanitizer this also checks that helpers read a slot's fields
+  // only once its publication is visible to them: a helper that skips
+  // its own session's entry must not race the next Publish.
+  const auto topology = Topo();
+  DonationPool pool(/*max_entries=*/1);
+  constexpr uint32_t kTeam = 4;
+  constexpr int kRounds = 2000;
+  const uint64_t sessions[2] = {pool.RegisterSession(),
+                                pool.RegisterSession()};
+  const uint64_t stranger = pool.RegisterSession();
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> self_helped{0};
+  std::atomic<uint64_t> bad_rounds{0};
+
+  std::vector<std::thread> helpers;
+  for (const uint64_t session : {stranger, sessions[0]}) {
+    helpers.emplace_back([&, session] {
+      tl_helper_session = session;
+      while (!stop.load()) {
+        if (!pool.TryHelp(session, 0)) std::this_thread::yield();
+      }
+    });
+  }
+  std::vector<std::thread> hosts;
+  for (const uint64_t owner : sessions) {
+    hosts.emplace_back([&, owner] {
+      TaskScheduler scheduler(topology, kTeam, SchedulerKind::kStealing);
+      std::array<std::atomic<uint32_t>, kTeam> runs{};
+      std::function<void(WorkerContext&, const Morsel&)> body =
+          [&](WorkerContext&, const Morsel& morsel) {
+            if (tl_helper_session == owner) self_helped.fetch_add(1);
+            runs[morsel.task].fetch_add(1);
+          };
+      WorkerStats stats;
+      WorkerContext ctx;
+      ctx.team_size = kTeam;
+      ctx.stats = &stats;
+      ctx.topology = &topology;
+      for (int round = 0; round < kRounds; ++round) {
+        for (auto& r : runs) r.store(0);
+        scheduler.Reset(ChunkMorsels(kTeam));
+        const DonationPool::Ticket ticket =
+            pool.Publish(owner, &scheduler, &body, &topology, kTeam);
+        while (const Morsel* morsel =
+                   scheduler.Claim(ctx, stats.phase_counters[kPhaseJoin])) {
+          body(ctx, *morsel);
+        }
+        pool.Close(ticket);
+        for (const auto& r : runs) {
+          if (r.load() != 1) bad_rounds.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& host : hosts) host.join();
+  stop.store(true);
+  for (std::thread& helper : helpers) helper.join();
+  EXPECT_EQ(self_helped.load(), 0u);
+  EXPECT_EQ(bad_rounds.load(), 0u);
 }
 
 // ------------------------------------------------- shared-sort batch

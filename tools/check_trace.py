@@ -33,6 +33,7 @@ REQUIRED_METRIC_FAMILIES = [
     "mpsm_service_admission_wait_ns",    # admission latency
     "mpsm_service_lane_queries_total",   # per-lane throughput
     "mpsm_engine_queries_total",
+    "mpsm_worker_pin_failures_total",    # placement
     "mpsm_pool_",
     "mpsm_cache_",
     "mpsm_io_",
