@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <map>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "core/consumers.h"
@@ -27,10 +29,21 @@ std::vector<Tuple> SortedKeys(std::vector<uint64_t> keys) {
 
 using SearchFn = size_t (*)(const Tuple*, size_t, uint64_t, SearchStats*);
 
-class LowerBoundTest : public testing::TestWithParam<SearchFn> {};
+// Named so the parameter prints as its name, not as a function address
+// that differs from build to build and would change the test's CTest name.
+struct SearchStrategy {
+  const char* name;
+  SearchFn search;
+};
+
+void PrintTo(const SearchStrategy& strategy, std::ostream* os) {
+  *os << strategy.name;
+}
+
+class LowerBoundTest : public testing::TestWithParam<SearchStrategy> {};
 
 TEST_P(LowerBoundTest, MatchesStdLowerBound) {
-  SearchFn search = GetParam();
+  SearchFn search = GetParam().search;
   Xoshiro256 rng(6);
   for (int trial = 0; trial < 30; ++trial) {
     std::vector<uint64_t> keys(rng.NextBounded(500));
@@ -49,7 +62,7 @@ TEST_P(LowerBoundTest, MatchesStdLowerBound) {
 }
 
 TEST_P(LowerBoundTest, EdgeCases) {
-  SearchFn search = GetParam();
+  SearchFn search = GetParam().search;
   EXPECT_EQ(search(nullptr, 0, 5, nullptr), 0u);
 
   const auto tuples = SortedKeys({10, 20, 20, 20, 30});
@@ -68,12 +81,11 @@ TEST_P(LowerBoundTest, EdgeCases) {
 
 INSTANTIATE_TEST_SUITE_P(
     Strategies, LowerBoundTest,
-    testing::Values(&InterpolationLowerBound, &BinaryLowerBound,
-                    &LinearLowerBound),
-    [](const testing::TestParamInfo<SearchFn>& info) {
-      if (info.param == &InterpolationLowerBound) return "interpolation";
-      if (info.param == &BinaryLowerBound) return "binary";
-      return "linear";
+    testing::Values(SearchStrategy{"interpolation", &InterpolationLowerBound},
+                    SearchStrategy{"binary", &BinaryLowerBound},
+                    SearchStrategy{"linear", &LinearLowerBound}),
+    [](const testing::TestParamInfo<SearchStrategy>& info) {
+      return std::string(info.param.name);
     });
 
 TEST(InterpolationSearchTest, FewProbesOnUniformData) {
