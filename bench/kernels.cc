@@ -133,11 +133,6 @@ void BM_MergeScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_MergeScalar)->Arg(1 << 20)->Arg(1 << 21);
 
-void BM_MergeSse(benchmark::State& state) {
-  MergeJoinBench(state, kDefaultMergePrefetchDistance, simd::SimdKind::kSse);
-}
-BENCHMARK(BM_MergeSse)->Arg(1 << 20)->Arg(1 << 21);
-
 void BM_MergeAvx2(benchmark::State& state) {
   MergeJoinBench(state, kDefaultMergePrefetchDistance,
                  simd::SimdKind::kAvx2);
@@ -974,12 +969,11 @@ void BM_BufferPoolWriteback(benchmark::State& state) {
 }
 BENCHMARK(BM_BufferPoolWriteback);
 
-// Spool-write A/B on the synthetic device (docs/storage.md): the same
-// D-MPSM join with run spooling blocking on every page write (sync)
-// vs riding the pool's write-back cache. spool_stall_ms is
-// DMpsmReport::spool_write_stall_ns — the wait the flusher removes
-// from the foreground sort phases.
-void DMpsmSpoolBench(benchmark::State& state, bool synchronous_spool) {
+// Run spooling on the synthetic device (docs/storage.md): a D-MPSM
+// join whose spooled pages ride the pool's write-back cache.
+// spool_stall_ms is DMpsmReport::spool_write_stall_ns — the foreground
+// sort phases' wait for a free frame.
+void BM_DMpsmSpoolWriteback(benchmark::State& state) {
   const auto topology = numa::Topology::Probe();
   const uint32_t team_size = 4;
   workload::DatasetSpec spec;
@@ -994,7 +988,6 @@ void DMpsmSpoolBench(benchmark::State& state, bool synchronous_spool) {
   options.pool_pages = 16;
   options.io_backend = io::IoBackendKind::kThreadpool;
   options.io_delay_us = 100;
-  options.synchronous_spool = synchronous_spool;
 
   double spool_stall_ms = 0;
   double writebacks = 0;
@@ -1017,14 +1010,6 @@ void DMpsmSpoolBench(benchmark::State& state, bool synchronous_spool) {
                           (dataset.r.size() + dataset.s.size()));
 }
 
-void BM_DMpsmSpoolSync(benchmark::State& state) {
-  DMpsmSpoolBench(state, /*synchronous_spool=*/true);
-}
-BENCHMARK(BM_DMpsmSpoolSync)->Unit(benchmark::kMillisecond);
-
-void BM_DMpsmSpoolWriteback(benchmark::State& state) {
-  DMpsmSpoolBench(state, /*synchronous_spool=*/false);
-}
 BENCHMARK(BM_DMpsmSpoolWriteback)->Unit(benchmark::kMillisecond);
 
 void BM_CdfEstimateRank(benchmark::State& state) {

@@ -62,7 +62,7 @@ struct Harness {
     options.dmpsm.io_backend = backend;
     options.recovery.enabled = true;
     options.recovery.dir = dir;
-    options.recovery.kill_after_commits = kill_after;
+    options.dmpsm.recovery.kill_after_commits = kill_after;
     return options;
   }
 };

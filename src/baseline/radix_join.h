@@ -50,6 +50,9 @@ struct RadixJoinOptions {
   /// Checks every knob against its legal range. The engine front door
   /// calls this before planning.
   Status Validate() const;
+
+  friend bool operator==(const RadixJoinOptions&,
+                         const RadixJoinOptions&) = default;
 };
 
 /// The radix-partitioned hash join (inner joins).

@@ -124,8 +124,7 @@ struct MpsmOptions {
   /// radix-histogram kernels (docs/simd.md). kAuto resolves to the
   /// widest ISA this build and CPU support; kScalar keeps the paper's
   /// one-key-per-compare loops as the A/B baseline. The sort's digit
-  /// histograms follow sort_config.simd (the engine front door sets
-  /// both from its one canonical knob).
+  /// histograms follow sort_config.simd.
   simd::SimdKind simd = simd::SimdKind::kAuto;
 
   /// Checks every knob against its legal range for a team of
@@ -134,6 +133,8 @@ struct MpsmOptions {
   /// EffectiveRadixBits clamps an undersized radix_bits) so the
   /// internal layer keeps its paper-fidelity behavior.
   Status Validate(uint32_t team_size) const;
+
+  friend bool operator==(const MpsmOptions&, const MpsmOptions&) = default;
 };
 
 }  // namespace mpsm

@@ -184,8 +184,6 @@ MergeScan MergeJoinLoop(const Tuple* r, size_t nr, const Tuple* s, size_t ns,
     return scan;                                                           \
   }
 
-MPSM_MERGE_LOOP_SIMD(MergeJoinLoopSse, "sse4.2", SKeyWindowSse,
-                     AdvanceLowerBoundSse)
 MPSM_MERGE_LOOP_SIMD(MergeJoinLoopAvx2, "avx2", SKeyWindowAvx2,
                      AdvanceLowerBoundAvx2)
 MPSM_MERGE_LOOP_SIMD(MergeJoinLoopAvx512, "avx512f", SKeyWindowAvx512,
@@ -238,11 +236,6 @@ MergeScan MergeJoinRunPairWith(size_t prefetch_tuples, simd::SimdKind simd,
                : loop.template operator()<false>(size_t{0});
   };
   switch (simd::Resolve(simd)) {
-    case simd::SimdKind::kSse:
-      return simd_loop([&]<bool kPrefetch>(size_t distance) {
-        return internal::MergeJoinLoopSse<kPrefetch>(
-            r, nr, s, ns, distance, std::forward<OnMatch>(on_match));
-      });
     case simd::SimdKind::kAvx2:
       return simd_loop([&]<bool kPrefetch>(size_t distance) {
         return internal::MergeJoinLoopAvx2<kPrefetch>(

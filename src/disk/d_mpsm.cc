@@ -61,17 +61,16 @@ obs::Counter& RunsReattachedCounter() {
 /// given (public input) or returns the page list (private input).
 /// `worker_node` is the executing worker's node: a stolen spool morsel
 /// reads the chunk remotely (the sort scratch stays executor-local).
-/// Pages normally go through the pool's write-back cache (AppendPage:
-/// encode into a frame, flush in the background); `synchronous_spool`
-/// blocks on the device per page instead. Either way `spool_stall_ns`
-/// accumulates the wall time this worker spent blocked spooling.
+/// Pages go through the pool's write-back cache (AppendPage: encode
+/// into a frame, flush in the background); `spool_stall_ns` accumulates
+/// the wall time this worker spent blocked waiting for a free frame.
 /// `content_checksum` (optional) receives fnv1a over the run's sorted
 /// tuple bytes — the recovery manifest's per-run checksum.
 Status SortAndSpool(const Chunk& chunk, uint32_t run_id,
-                    numa::NodeId worker_node, PageStore& store,
-                    bufferpool::BufferPool* pool, bool synchronous_spool,
-                    PerfCounters& counters, PageIndex* index,
-                    SpooledRun* run_out, sort::SortKind sort_kind,
+                    numa::NodeId worker_node, const PageStore& store,
+                    bufferpool::BufferPool* pool, PerfCounters& counters,
+                    PageIndex* index, SpooledRun* run_out,
+                    sort::SortKind sort_kind,
                     const sort::RadixSortConfig& sort_config,
                     uint64_t* spool_stall_ns,
                     uint64_t* content_checksum = nullptr) {
@@ -95,21 +94,9 @@ Status SortAndSpool(const Chunk& chunk, uint32_t run_id,
   const size_t per_page = store.tuples_per_page();
   for (size_t offset = 0; offset < chunk.size; offset += per_page) {
     const size_t count = std::min(per_page, chunk.size - offset);
-    PageId id = 0;
-    if (synchronous_spool) {
-      // Blocking baseline: the worker eats the full device round trip.
-      WallTimer write_timer;
-      auto page = store.WritePage(sorted.get() + offset, count);
-      if (!page.ok()) return page.status();
-      *spool_stall_ns +=
-          static_cast<uint64_t>(write_timer.ElapsedSeconds() * 1e9);
-      id = *page;
-    } else {
-      auto page =
-          pool->AppendPage(sorted.get() + offset, count, spool_stall_ns);
-      if (!page.ok()) return page.status();
-      id = *page;
-    }
+    auto page = pool->AppendPage(sorted.get() + offset, count, spool_stall_ns);
+    if (!page.ok()) return page.status();
+    const PageId id = *page;
     if (index != nullptr) {
       index->Add(PageIndexEntry{sorted[offset].key, run_id, id,
                                 static_cast<uint32_t>(count)});
@@ -580,9 +567,9 @@ Result<JoinRunInfo> DMpsmJoin::Execute(WorkerTeam& team,
         uint64_t checksum = 0;
         worker_status[w] = SortAndSpool(
             s_public.chunk(w), w, ctx.node, store, pool.get(),
-            options_.synchronous_spool, ctx.Counters(kPhaseSortPublic),
-            &index_parts[w], nullptr, options_.sort, options_.sort_config,
-            &spool_stall[w], (journal && options_.recovery.checksum_runs) ? &checksum
+            ctx.Counters(kPhaseSortPublic), &index_parts[w], nullptr,
+            options_.sort, options_.sort_config, &spool_stall[w],
+            (journal && options_.recovery.checksum_runs) ? &checksum
                                                           : nullptr);
         if (journal && worker_status[w].ok()) {
           recovery::RunRecord record;
@@ -627,7 +614,7 @@ Result<JoinRunInfo> DMpsmJoin::Execute(WorkerTeam& team,
         PageIndex private_part;
         Status st = SortAndSpool(
             r_private.chunk(w), w, ctx.node, store, pool.get(),
-            options_.synchronous_spool, ctx.Counters(kPhaseSortPrivate),
+            ctx.Counters(kPhaseSortPrivate),
             journal ? &private_part : nullptr, &r_runs[w], options_.sort,
             options_.sort_config, &spool_stall[w],
             (journal && options_.recovery.checksum_runs) ? &checksum

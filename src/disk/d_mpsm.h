@@ -72,6 +72,9 @@ struct DMpsmRecoveryOptions {
   /// Crash injection (tools/crash_harness): SIGKILL this process right
   /// after the n-th durable manifest commit. 0 = off.
   uint64_t kill_after_commits = 0;
+
+  friend bool operator==(const DMpsmRecoveryOptions&,
+                         const DMpsmRecoveryOptions&) = default;
 };
 
 /// D-MPSM tuning.
@@ -91,10 +94,6 @@ struct DMpsmOptions {
   /// write-back instead of growing RAM.
   uint64_t pool_budget_bytes = 0;
 
-  /// When true, run spooling bypasses the pool's write-back cache and
-  /// blocks on the device for every page (the synchronous baseline the
-  /// spool-stall A/B in DMpsmReport measures against).
-  bool synchronous_spool = false;
   /// Spool directory and synthetic I/O delay (see PageStoreOptions).
   std::string directory = "/tmp";
   uint32_t io_delay_us = 0;
@@ -146,6 +145,8 @@ struct DMpsmOptions {
   /// Checks every knob against its legal range (e.g. pool_pages >= 1).
   /// Execute and the engine front door both call this.
   Status Validate() const;
+
+  friend bool operator==(const DMpsmOptions&, const DMpsmOptions&) = default;
 };
 
 /// Observability for tests and the spill example.
@@ -165,8 +166,7 @@ struct DMpsmReport {
   /// append stalls (docs/storage.md).
   bufferpool::BufferPoolStats pool;
   /// Wall nanoseconds workers spent blocked spooling run pages, summed
-  /// over workers: the full device write in synchronous_spool mode, or
-  /// only the wait for a free frame with async write-back.
+  /// over workers: the wait for a free frame under async write-back.
   uint64_t spool_write_stall_ns = 0;
   /// Peak private-window tuples over all workers.
   size_t peak_window_tuples = 0;

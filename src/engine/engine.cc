@@ -108,9 +108,7 @@ Result<JoinPlan> Engine::Plan(const JoinSpec& spec) const {
       spec.s != nullptr) {
     const auto peek = run_cache_->Peek(
         *spec.s, team_size,
-        CacheNumBounds(ResolveMpsmOptions(options, spec.kind)
-                           .equi_height_factor,
-                       team_size));
+        CacheNumBounds(options.mpsm.equi_height_factor, team_size));
     if (peek.hit) {
       hint.delta_tuples = peek.delta_tuples;
       hint.delta_runs = peek.delta_runs;
@@ -198,9 +196,8 @@ Result<JoinReport> Engine::Execute(const JoinSpec& spec) {
   const CachedRunsHint* hint_ptr = nullptr;
   uint32_t cache_bounds = 0;
   if (run_cache_ != nullptr && spec.shared_public_runs == nullptr) {
-    cache_bounds = CacheNumBounds(
-        ResolveMpsmOptions(options, spec.kind).equi_height_factor,
-        team_size);
+    cache_bounds =
+        CacheNumBounds(options.mpsm.equi_height_factor, team_size);
     const auto peek = run_cache_->Peek(*spec.s, team_size, cache_bounds);
     if (peek.hit) {
       hint.delta_tuples = peek.delta_tuples;
@@ -340,13 +337,6 @@ Result<JoinReport> Engine::Execute(const JoinSpec& spec) {
         dmpsm_options.recovery.journal_path = manager.JournalPath(fp);
         dmpsm_options.recovery.spool_path = manager.SpoolPath(fp);
         dmpsm_options.recovery.resume = &*resume_state;
-        dmpsm_options.recovery.retain_artifacts =
-            options.recovery.retain_artifacts;
-        dmpsm_options.recovery.checksum_runs =
-            options.recovery.checksum_runs;
-        dmpsm_options.recovery.strict_sync = options.recovery.strict_sync;
-        dmpsm_options.recovery.kill_after_commits =
-            options.recovery.kill_after_commits;
       }
       info = disk::DMpsmJoin(dmpsm_options)
                  .Execute(team, *run_spec.r, *run_spec.s, *spec.consumers,

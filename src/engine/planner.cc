@@ -109,85 +109,23 @@ bool SupportsKind(Algorithm algorithm, JoinKind kind) {
 }
 
 MpsmOptions ResolveMpsmOptions(const EngineOptions& options, JoinKind kind) {
-  MpsmOptions m;
+  MpsmOptions m = options.mpsm;
   m.kind = kind;
-  m.radix_bits = options.mpsm.radix_bits;
-  m.equi_height_factor = options.mpsm.equi_height_factor;
-  m.start_search = options.mpsm.start_search;
-  m.cost_balanced_splitters = options.mpsm.cost_balanced_splitters;
-  m.phase_barriers = options.mpsm.phase_barriers;
-  m.merge_skip_private_prefix = options.mpsm.merge_skip_private_prefix;
-  m.simd_scatter_digits = options.mpsm.simd_scatter_digits;
-  m.scheduler = options.scheduler.value_or(m.scheduler);
-  m.sort = options.sort.value_or(m.sort);
-  m.sort_config = options.sort_config.value_or(m.sort_config);
-  m.scatter = options.scatter.value_or(m.scatter);
-  m.merge_prefetch_distance =
-      options.merge_prefetch_distance.value_or(m.merge_prefetch_distance);
-  m.morsel_tuples = options.morsel_tuples.value_or(m.morsel_tuples);
-  // The canonical simd knob steers the sort's histogram kernels too
-  // (applied after sort_config so it wins over a combined override).
-  if (options.simd.has_value()) {
-    m.simd = *options.simd;
-    m.sort_config.simd = *options.simd;
-  }
   return m;
 }
 
 disk::DMpsmOptions ResolveDMpsmOptions(const EngineOptions& options,
                                        uint64_t memory_budget_bytes) {
-  disk::DMpsmOptions d;
-  d.tuples_per_page = options.dmpsm.tuples_per_page;
-  d.directory = options.dmpsm.directory;
-  d.io_delay_us = options.dmpsm.io_delay_us;
-  d.io_backend = options.dmpsm.io_backend;
-  d.io_queue_depth = options.dmpsm.io_queue_depth;
-  d.io_batch_pages = options.dmpsm.io_batch_pages;
-  d.io_max_inflight_bytes = options.dmpsm.io_max_inflight_bytes;
-  d.sort = options.sort.value_or(d.sort);
-  d.sort_config = options.sort_config.value_or(d.sort_config);
-  d.merge_prefetch_distance =
-      options.merge_prefetch_distance.value_or(d.merge_prefetch_distance);
-  d.scheduler = options.scheduler.value_or(d.scheduler);
-  if (options.simd.has_value()) {
-    d.simd = *options.simd;
-    d.sort_config.simd = *options.simd;
-  }
-  d.synchronous_spool = options.dmpsm.synchronous_spool;
-  if (options.dmpsm.pool_pages != 0) {
-    d.pool_pages = options.dmpsm.pool_pages;
-  } else if (memory_budget_bytes != 0) {
-    // Budget-driven pool sizing: spend half the budget on the shared S
-    // staging pool (the other half covers the per-worker private
-    // windows and transient sort buffers), at least one page.
-    const uint64_t page_bytes =
-        std::max<uint64_t>(d.tuples_per_page * kTupleBytes, 1);
-    d.pool_pages = static_cast<size_t>(
-        std::max<uint64_t>(memory_budget_bytes / 2 / page_bytes, 1));
-  } else {
-    d.pool_pages = 64;  // the DMpsmOptions default
-  }
-  if (options.dmpsm.pool_budget_bytes != 0) {
-    d.pool_budget_bytes = options.dmpsm.pool_budget_bytes;
-  } else if (memory_budget_bytes != 0) {
+  disk::DMpsmOptions d = options.dmpsm;
+  if (d.pool_budget_bytes == 0) {
     // Cap the buffer pool's frames at half the query budget: staging
     // ring, private-window readahead and dirty write-back frames all
     // come out of this one pot (docs/storage.md), and the remaining
-    // half covers transient sort scratch.
+    // half covers transient sort scratch. No budget keeps the legacy
+    // pool_pages shape.
     d.pool_budget_bytes = memory_budget_bytes / 2;
   }
   return d;
-}
-
-baseline::RadixJoinOptions ResolveRadixOptions(const EngineOptions& options) {
-  baseline::RadixJoinOptions r;
-  r.pass1_bits = options.radix.pass1_bits;
-  r.pass2_bits = options.radix.pass2_bits;
-  r.target_fragment_tuples = options.radix.target_fragment_tuples;
-  r.scatter = options.scatter.value_or(r.scatter);
-  r.scheduler = options.scheduler.value_or(r.scheduler);
-  r.simd = options.simd.value_or(r.simd);
-  return r;
 }
 
 uint64_t Planner::WorkingSetBytes(uint64_t r_tuples, uint64_t s_tuples) {
@@ -328,17 +266,15 @@ CandidateCost Planner::EstimateCost(Algorithm algorithm,
       auto& p3 = phases[kPhaseSortPrivate].counters;
       CountLocalSort(p3, nr);
       p3.CountWrite(true, true, static_cast<uint64_t>(nr * kTupleBytes));
-      // Spool writes hit the device too. With the buffer pool's async
-      // write-back the flusher overlaps them with the sort compute at
-      // queue depth; the synchronous_spool baseline stalls each worker
-      // for every page at depth 1. Deliberately keyed on the spool
-      // mode only — the read backend does not change spool pricing.
-      const double spool_depth_bw = machine.IoBytesPerSec(
-          dmpsm.synchronous_spool ? 1 : dmpsm.io_queue_depth);
-      phases[kPhaseSortPublic].io_overlapped = !dmpsm.synchronous_spool;
+      // Spool writes hit the device too. The buffer pool's async
+      // write-back flusher overlaps them with the sort compute at queue
+      // depth, whatever the read backend.
+      const double spool_depth_bw =
+          machine.IoBytesPerSec(dmpsm.io_queue_depth);
+      phases[kPhaseSortPublic].io_overlapped = true;
       phases[kPhaseSortPublic].io_seconds =
           static_cast<double>(in.s_tuples) * kTupleBytes / spool_depth_bw;
-      phases[kPhaseSortPrivate].io_overlapped = !dmpsm.synchronous_spool;
+      phases[kPhaseSortPrivate].io_overlapped = true;
       phases[kPhaseSortPrivate].io_seconds =
           static_cast<double>(in.r_tuples) * kTupleBytes / spool_depth_bw;
       // Phase 4 re-reads the spooled pages. The device is shared, so
@@ -463,7 +399,7 @@ Result<JoinPlan> Planner::Plan(const JoinSpec& spec, uint32_t team_size,
                               ? spec.memory_budget_bytes
                               : options.memory_budget_bytes;
   plan.dmpsm = ResolveDMpsmOptions(options, budget);
-  plan.radix = ResolveRadixOptions(options);
+  plan.radix = options.radix;
 
   // Front-door validation: every resolved knob set must be legal, even
   // for the variants the planner ends up not choosing — a bad knob is
@@ -569,8 +505,8 @@ Result<JoinPlan> Planner::Plan(const JoinSpec& spec, uint32_t team_size,
     plan.rationale =
         "working set (" + std::to_string(in.working_set_bytes / 1000000) +
         " MB) exceeds the memory budget (" + std::to_string(budget / 1000000) +
-        " MB): spill via d-mpsm, staging pool " +
-        std::to_string(plan.dmpsm.pool_pages) + " pages";
+        " MB): spill via d-mpsm, buffer pool " +
+        std::to_string(plan.dmpsm.pool_budget_bytes >> 10) + " KiB";
   } else if (spec.kind != JoinKind::kInner) {
     plan.algorithm =
         pmpsm_seconds() <= candidate(Algorithm::kBMpsm).total_seconds

@@ -10,7 +10,7 @@
 //   1. A forced algorithm (JoinSpec / EngineOptions) wins, if it
 //      supports the requested JoinKind.
 //   2. If the memory budget cannot hold both inputs plus their runs,
-//      the join spills: D-MPSM, with the staging pool sized from the
+//      the join spills: D-MPSM, with the buffer pool sized from the
 //      budget.
 //   3. Non-inner joins (semi / anti / outer) are MPSM-family only.
 //   4. Tiny inputs skip partitioned algorithms entirely: the
@@ -69,94 +69,33 @@ const char* AlgorithmName(Algorithm algorithm);
 /// baselines are inner-only.
 bool SupportsKind(Algorithm algorithm, JoinKind kind);
 
-/// Per-algorithm overrides for the MPSM variants (knobs that have no
-/// cross-algorithm meaning; the canonical knobs live on EngineOptions).
-struct MpsmOverrides {
-  uint32_t radix_bits = 0;  // 0 = auto (see MpsmOptions::radix_bits)
-  uint32_t equi_height_factor = 4;
-  StartSearch start_search = StartSearch::kInterpolation;
-  bool cost_balanced_splitters = true;
-  bool phase_barriers = true;
-  bool merge_skip_private_prefix = true;
-  bool simd_scatter_digits = true;
-};
-
-/// Per-algorithm overrides for the D-MPSM spill path.
-struct DMpsmOverrides {
-  size_t tuples_per_page = 4096;
-  /// Staging ring capacity in pages; 0 derives it from the query's
-  /// memory budget (half the budget, at least one page).
-  size_t pool_pages = 0;
-  /// Buffer-pool frame budget in bytes (DMpsmOptions::pool_budget_bytes);
-  /// 0 derives half the query's memory budget when one is set, else the
-  /// legacy unbounded-frames shape.
-  uint64_t pool_budget_bytes = 0;
-  /// Bypass the pool's async write-back and spool runs with blocking
-  /// device writes (the A/B baseline; see DMpsmOptions).
-  bool synchronous_spool = false;
-  std::string directory = "/tmp";
-  uint32_t io_delay_us = 0;
-  /// Async page-I/O engine for the spill path (docs/io.md): sync is
-  /// the blocking baseline, auto probes for io_uring at runtime.
-  io::IoBackendKind io_backend = io::IoBackendKind::kThreadpool;
-  /// Backend queue depth; the planner prices D-MPSM reads at the
-  /// machine model's effective bandwidth for this depth.
-  size_t io_queue_depth = 16;
-  /// Pages coalesced per vectored read / private-window readahead.
-  size_t io_batch_pages = 8;
-  /// In-flight byte budget toward the I/O backend; 0 = no extra cap
-  /// (queue_depth * batch_pages * page_bytes). The join service slices
-  /// its global I/O budget into per-session shares through this knob.
-  uint64_t io_max_inflight_bytes = 0;
-};
-
-/// Crash-safe restartability of the D-MPSM spill path
+/// Engine-level crash-safe restartability of the D-MPSM spill path
 /// (docs/recovery.md). Enabled, a D-MPSM execution spools through a
 /// persistent named file and commits a checksummed manifest record
 /// after each durable run and each completed chunk walk. A repeat
 /// Execute of the *same* query (inputs, versions, team size, page
 /// geometry — the manifest fingerprint) re-attaches the durable runs
 /// and skips completed chunks; any mismatch falls back to a clean cold
-/// run. Engine::Resume is Execute with this switched on.
+/// run. Engine::Resume is Execute with this switched on. The per-commit
+/// knobs (retain_artifacts, checksum_runs, strict_sync,
+/// kill_after_commits) are read from EngineOptions::dmpsm.recovery.
 struct RecoveryOverrides {
   bool enabled = false;
   /// Manifest + persistent-spool directory; empty uses the D-MPSM
-  /// spill directory (DMpsmOverrides::directory).
+  /// spill directory (DMpsmOptions::directory).
   std::string dir;
   /// Re-read and checksum every recorded run during Load (paranoid
   /// resume; catches spool corruption the manifest cannot see).
   bool verify_runs = false;
-  /// Keep the manifest and spool after a successful run instead of
-  /// retiring them (tests and the crash harness inspect them).
-  bool retain_artifacts = false;
-  /// Record per-run content checksums in the manifest
-  /// (DMpsmRecoveryOptions::checksum_runs) — one fnv1a pass over every
-  /// spooled byte; only verify_runs reads them.
-  bool checksum_runs = false;
-  /// Per-commit durability (DMpsmRecoveryOptions::strict_sync).
-  /// Default relaxed: commits are process-crash durable, device
-  /// fdatasyncs are deferred to query end. Strict pays ~2 device
-  /// flushes per commit for power-loss-grade durability.
-  bool strict_sync = false;
-  /// Crash injection (tools/crash_harness): SIGKILL this process right
-  /// after the n-th durable manifest commit. 0 = off.
-  uint64_t kill_after_commits = 0;
 };
 
-/// Per-algorithm overrides for the radix hash join.
-struct RadixOverrides {
-  uint32_t pass1_bits = 0;  // 0 = auto
-  uint32_t pass2_bits = 0;
-  uint32_t target_fragment_tuples = 2048;
-};
-
-/// The engine's one canonical knob set. Shared kernel knobs are stated
-/// once (std::nullopt keeps each algorithm's own default, e.g. the
-/// in-memory variants and the radix join default to stealing while
-/// D-MPSM schedules statically); algorithm-specific knobs live in the
-/// override sub-structs. This
-/// replaces hand-tuning MpsmOptions / DMpsmOptions / RadixJoinOptions
-/// in parallel.
+/// The engine's one knob set. Session and planner knobs live here;
+/// every kernel knob is stated once, on the option struct of the
+/// algorithm it steers (`mpsm` for P-MPSM and B-MPSM, `dmpsm` for the
+/// spill path, `radix` for the radix hash join). The planner copies the
+/// struct of the chosen algorithm into the JoinPlan and fills in only
+/// the per-query fields (the JoinKind, and D-MPSM's pool budget when a
+/// memory budget is set).
 struct EngineOptions {
   // ------------------------------------------------------------ session
   /// Worker-team size. 0 sizes the team to the inputs' chunk count
@@ -199,23 +138,14 @@ struct EngineOptions {
   /// Events per thread ring of a traced query (TraceSinkOptions).
   size_t trace_ring_events = 4096;
 
-  // ---------------------------------------- canonical kernel knobs
-  std::optional<SchedulerKind> scheduler;
-  std::optional<sort::SortKind> sort;
-  std::optional<sort::RadixSortConfig> sort_config;
-  std::optional<ScatterKind> scatter;
-  std::optional<uint32_t> merge_prefetch_distance;
-  std::optional<uint32_t> morsel_tuples;
-  /// Vector ISA of the merge / search / histogram kernels
-  /// (docs/simd.md). Set, it steers every algorithm's simd knob
-  /// *including* the sort's digit histograms (sort_config.simd); unset
-  /// keeps each algorithm's default (kAuto everywhere).
-  std::optional<simd::SimdKind> simd;
-
-  // ---------------------------------------- per-algorithm overrides
-  MpsmOverrides mpsm;
-  DMpsmOverrides dmpsm;
-  RadixOverrides radix;
+  // ---------------------------------------- per-algorithm knobs
+  /// P-MPSM / B-MPSM knobs; `kind` is taken from JoinSpec::kind.
+  MpsmOptions mpsm;
+  /// D-MPSM knobs. A zero pool_budget_bytes becomes half the query's
+  /// memory budget when one is set. The recovery journal paths and
+  /// resume state are filled in by the engine when `recovery.enabled`.
+  disk::DMpsmOptions dmpsm;
+  baseline::RadixJoinOptions radix;
 
   /// Crash-safe restartable spilling joins (docs/recovery.md).
   RecoveryOverrides recovery;
@@ -419,12 +349,11 @@ class Planner {
   const EngineOptions* options_;
 };
 
-/// Resolves the canonical + override knobs into each variant's own
-/// option struct (exposed for tests; the planner embeds the results in
-/// the JoinPlan).
+/// Each variant's option struct for one query: the EngineOptions copy
+/// plus the per-query fields (exposed for tests; the planner embeds the
+/// results in the JoinPlan).
 MpsmOptions ResolveMpsmOptions(const EngineOptions& options, JoinKind kind);
 disk::DMpsmOptions ResolveDMpsmOptions(const EngineOptions& options,
                                        uint64_t memory_budget_bytes);
-baseline::RadixJoinOptions ResolveRadixOptions(const EngineOptions& options);
 
 }  // namespace mpsm::engine

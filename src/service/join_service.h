@@ -71,7 +71,7 @@ struct ServiceOptions {
 
   /// Global in-flight device-read budget for spilling (D-MPSM)
   /// queries; 0 = each lane's backend-derived default. Sliced evenly
-  /// into per-lane shares via DMpsmOverrides::io_max_inflight_bytes.
+  /// into per-lane shares via EngineOptions::dmpsm.io_max_inflight_bytes.
   uint64_t io_inflight_budget_bytes = 0;
 
   /// Coalesce compatible queued queries over one public input into a

@@ -10,7 +10,6 @@ const Caps& DetectCaps() {
     Caps c;
 #if MPSM_SIMD_X86
     __builtin_cpu_init();
-    c.sse42 = __builtin_cpu_supports("sse4.2");
     c.avx2 = __builtin_cpu_supports("avx2");
     c.avx512f = __builtin_cpu_supports("avx512f");
 #endif
@@ -30,15 +29,9 @@ SimdKind Resolve(SimdKind kind) {
 
   const Caps& caps = DetectCaps();
   if (kind == SimdKind::kAuto) kind = SimdKind::kAvx512;
-  // Degrade an unexecutable kind to the widest narrower one that
-  // measures no worse than scalar. kSse is skipped on the way down:
-  // its 4-wide window exhausts every ~multiplicity tuples and the
-  // merge A/B puts it below the scalar loop (docs/simd.md) — it stays
-  // selectable explicitly as the A/B point that documents exactly
-  // that.
+  // Degrade an unexecutable kind to the widest narrower one.
   if (kind == SimdKind::kAvx512 && !caps.avx512f) kind = SimdKind::kAvx2;
   if (kind == SimdKind::kAvx2 && !caps.avx2) kind = SimdKind::kScalar;
-  if (kind == SimdKind::kSse && !caps.sse42) kind = SimdKind::kScalar;
   return kind;
 }
 
@@ -46,8 +39,6 @@ uint32_t KeysPerCompare(SimdKind resolved) {
   switch (resolved) {
     case SimdKind::kScalar:
       return 1;
-    case SimdKind::kSse:
-      return 2;
     case SimdKind::kAvx2:
       return 4;
     case SimdKind::kAvx512:
@@ -61,7 +52,6 @@ uint32_t KeysPerCompare(SimdKind resolved) {
 std::vector<SimdKind> SupportedKinds() {
   const Caps& caps = DetectCaps();
   std::vector<SimdKind> kinds{SimdKind::kScalar};
-  if (caps.sse42) kinds.push_back(SimdKind::kSse);
   if (caps.avx2) kinds.push_back(SimdKind::kAvx2);
   if (caps.avx512f) kinds.push_back(SimdKind::kAvx512);
   return kinds;

@@ -22,7 +22,6 @@ namespace mpsm::simd {
 /// What this build + this CPU can execute (compile-time kernel gates
 /// intersected with the cached CPUID probe).
 struct Caps {
-  bool sse42 = false;
   bool avx2 = false;
   bool avx512f = false;
 };

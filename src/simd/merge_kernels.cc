@@ -8,10 +8,6 @@ namespace {
 
 // Pointer-form wrappers over the inline kernels (the searches call
 // through AdvanceFn; one call per probe window is noise there).
-size_t AdvanceSse(const Tuple* data, size_t begin, size_t n, uint64_t key) {
-  return AdvanceLowerBoundSse(data, begin, n, key);
-}
-
 size_t AdvanceAvx2(const Tuple* data, size_t begin, size_t n, uint64_t key) {
   return AdvanceLowerBoundAvx2(data, begin, n, key);
 }
@@ -28,8 +24,6 @@ size_t AdvanceAvx512(const Tuple* data, size_t begin, size_t n,
 AdvanceFn AdvanceForKind(SimdKind resolved) {
   switch (resolved) {
 #if MPSM_SIMD_X86
-    case SimdKind::kSse:
-      return &AdvanceSse;
     case SimdKind::kAvx2:
       return &AdvanceAvx2;
     case SimdKind::kAvx512:

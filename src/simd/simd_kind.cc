@@ -6,8 +6,6 @@ const char* SimdKindName(SimdKind kind) {
   switch (kind) {
     case SimdKind::kScalar:
       return "scalar";
-    case SimdKind::kSse:
-      return "sse";
     case SimdKind::kAvx2:
       return "avx2";
     case SimdKind::kAvx512:
@@ -20,7 +18,6 @@ const char* SimdKindName(SimdKind kind) {
 
 std::optional<SimdKind> ParseSimdKind(std::string_view name) {
   if (name == "scalar") return SimdKind::kScalar;
-  if (name == "sse") return SimdKind::kSse;
   if (name == "avx2") return SimdKind::kAvx2;
   if (name == "avx512") return SimdKind::kAvx512;
   if (name == "auto") return SimdKind::kAuto;

@@ -58,6 +58,9 @@ struct RadixSortConfig {
   /// Range-checks the knobs (callers embed this in their own
   /// Options::Validate()).
   Status Validate() const;
+
+  friend bool operator==(const RadixSortConfig&,
+                         const RadixSortConfig&) = default;
 };
 
 /// Sorts data[0..n) by key using the full Radix/IntroSort pipeline.

@@ -11,8 +11,8 @@
 #include "engine/engine.h"
 #include "io/io_backend.h"
 #include "numa/topology.h"
-#include "storage/tuple.h"
 #include "workload/generator.h"
+#include "workload/query.h"
 
 namespace mpsm::engine {
 namespace {
@@ -68,9 +68,8 @@ TEST(PlannerGoldenTest, MemoryBudgetSpillsToDMpsm) {
   auto plan = engine.Plan(spec);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   EXPECT_EQ(plan->algorithm, Algorithm::kDMpsm);
-  // Budget-driven staging pool: half the budget in pages.
-  const uint64_t page_bytes = plan->dmpsm.tuples_per_page * sizeof(Tuple);
-  EXPECT_EQ(plan->dmpsm.pool_pages, (spec.memory_budget_bytes / 2) / page_bytes);
+  // Budget-driven buffer pool: half the budget.
+  EXPECT_EQ(plan->dmpsm.pool_budget_bytes, spec.memory_budget_bytes / 2);
   // In-memory candidates are marked infeasible, with the reason.
   const auto& pmpsm = plan->candidates[static_cast<size_t>(Algorithm::kPMpsm)];
   EXPECT_FALSE(pmpsm.feasible);
@@ -151,6 +150,82 @@ TEST(PlannerGoldenTest, ResolvesIoKnobsIntoDMpsmOptions) {
   EXPECT_EQ(resolved.io_backend, io::IoBackendKind::kAuto);
   EXPECT_EQ(resolved.io_queue_depth, 4u);
   EXPECT_EQ(resolved.io_batch_pages, 2u);
+}
+
+TEST(PlannerGoldenTest, DefaultOptionsPlanWithTheAlgorithmDefaults) {
+  // A default session plans with each algorithm's own default option
+  // struct; only the per-query fields (the JoinKind, D-MPSM's
+  // budget-derived pool) differ from it.
+  const auto topology = Topo();
+  const auto dataset = MediumDataset(topology, 8);
+  EngineOptions options;
+  options.workers = 8;
+  Engine engine(topology, options);
+
+  JoinSpec spec;
+  spec.r = &dataset.r;
+  spec.s = &dataset.s;
+  spec.kind = JoinKind::kLeftSemi;
+  auto plan = engine.Plan(spec);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  MpsmOptions expected_mpsm;
+  expected_mpsm.kind = JoinKind::kLeftSemi;
+  EXPECT_EQ(plan->mpsm, expected_mpsm);
+  EXPECT_EQ(plan->dmpsm, disk::DMpsmOptions{});
+  EXPECT_EQ(plan->radix, baseline::RadixJoinOptions{});
+
+  spec.kind = JoinKind::kInner;
+  spec.memory_budget_bytes = 1u << 20;
+  plan = engine.Plan(spec);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_EQ(plan->algorithm, Algorithm::kDMpsm);
+  EXPECT_EQ(plan->mpsm, MpsmOptions{});
+  disk::DMpsmOptions expected_dmpsm;
+  expected_dmpsm.pool_budget_bytes = spec.memory_budget_bytes / 2;
+  EXPECT_EQ(plan->dmpsm, expected_dmpsm);
+  EXPECT_EQ(plan->radix, baseline::RadixJoinOptions{});
+}
+
+TEST(PlannerGoldenTest, RunBenchmarkQueryForwardsEveryMpsmKnob) {
+  // Every MpsmOptions field, set off its default, must reach the plan
+  // of both in-memory MPSM variants unchanged.
+  const auto topology = Topo();
+  const auto dataset = MediumDataset(topology, 4);
+  EngineOptions session;
+  session.workers = 4;
+  Engine engine(topology, session);
+
+  MpsmOptions options;
+  options.kind = JoinKind::kLeftSemi;
+  options.radix_bits = 12;
+  options.equi_height_factor = 2;
+  options.start_search = StartSearch::kBinary;
+  options.cost_balanced_splitters = false;
+  options.phase_barriers = false;
+  options.scheduler = SchedulerKind::kStatic;
+  options.morsel_tuples = 1u << 12;
+  options.sort = sort::SortKind::kSinglePassRadix;
+  options.sort_config.repartition_threshold = 1024;
+  options.sort_config.max_passes = 2;
+  options.sort_config.simd = simd::SimdKind::kScalar;
+  options.scatter = ScatterKind::kWriteCombining;
+  options.simd_scatter_digits = false;
+  options.merge_prefetch_distance = 0;
+  options.merge_skip_private_prefix = false;
+  options.simd = simd::SimdKind::kScalar;
+  for (const Algorithm algorithm : {Algorithm::kPMpsm, Algorithm::kBMpsm}) {
+    auto result = workload::RunBenchmarkQuery(algorithm, engine, dataset.r,
+                                              dataset.s, options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->plan().mpsm, options) << AlgorithmName(algorithm);
+  }
+
+  // D-MPSM runs on the session's own knobs, as through Engine directly.
+  options.kind = JoinKind::kInner;
+  auto spilled = workload::RunBenchmarkQuery(Algorithm::kDMpsm, engine,
+                                             dataset.r, dataset.s, options);
+  ASSERT_TRUE(spilled.ok()) << spilled.status().ToString();
+  EXPECT_EQ(spilled->plan().dmpsm, session.dmpsm);
 }
 
 TEST(PlannerGoldenTest, RejectsBadIoKnobsAtTheFrontDoor) {

@@ -347,8 +347,8 @@ TEST(AdaptiveMorselTest, AutoSliceMatchesReferenceUnderSkew) {
   // The engine front door must accept the 0 knob too.
   engine::EngineOptions engine_options;
   engine_options.workers = team_size;
-  engine_options.morsel_tuples = 0;
-  engine_options.scheduler = SchedulerKind::kStealing;
+  engine_options.mpsm.morsel_tuples = 0;
+  engine_options.mpsm.scheduler = SchedulerKind::kStealing;
   engine::Engine engine(topology, engine_options);
   CountFactory counts(team_size);
   engine::JoinSpec join;

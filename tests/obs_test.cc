@@ -370,14 +370,28 @@ TEST(ServiceTraceTest, ConcurrentQueriesGetIsolatedTraces) {
 
 // Replaced global operator new: counts allocations while the
 // TraceDisabledTest guard is on (the whole test binary routes through
-// here; array new's default implementation calls this too).
-void* operator new(std::size_t size) {
+// here; array new's default implementation calls this too). The
+// nothrow form is replaced as well, so memory it hands out (e.g.
+// std::stable_sort's temporary buffer) is malloc'd like everything
+// the replaced operator delete frees — under ASan the runtime's own
+// nothrow new would otherwise pair with this free().
+namespace {
+void* CountedMalloc(std::size_t size) noexcept {
   if (mpsm::obs::g_count_allocations.load(std::memory_order_relaxed)) {
     mpsm::obs::g_test_allocations.fetch_add(1, std::memory_order_relaxed);
   }
-  if (void* p = std::malloc(size != 0 ? size : 1)) return p;
+  return std::malloc(size != 0 ? size : 1);
+}
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (void* p = CountedMalloc(size)) return p;
   throw std::bad_alloc();
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return CountedMalloc(size);
 }
 
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }

@@ -38,6 +38,16 @@ std::vector<Tuple> SortedTuples(size_t n, uint64_t domain, uint64_t seed) {
   return data;
 }
 
+/// Steers every algorithm's vector kernels, the sorts' digit histograms
+/// included, to `kind`.
+void SetSimd(engine::EngineOptions& options, simd::SimdKind kind) {
+  options.mpsm.simd = kind;
+  options.mpsm.sort_config.simd = kind;
+  options.dmpsm.simd = kind;
+  options.dmpsm.sort_config.simd = kind;
+  options.radix.simd = kind;
+}
+
 size_t OracleLowerBound(const std::vector<Tuple>& data, uint64_t key) {
   return static_cast<size_t>(
       std::lower_bound(data.begin(), data.end(), Tuple{key, 0},
@@ -60,8 +70,6 @@ TEST(SimdCapsTest, ScalarIsAFixedPointAndAutoResolvesSupported) {
   const simd::SimdKind resolved = simd::Resolve(simd::SimdKind::kAuto);
   EXPECT_NE(resolved, simd::SimdKind::kAuto);
   EXPECT_NE(std::find(kinds.begin(), kinds.end(), resolved), kinds.end());
-  // kAuto never picks kSse: the merge A/B measured it below scalar.
-  EXPECT_NE(resolved, simd::SimdKind::kSse);
 }
 
 TEST(SimdCapsTest, UnsupportedKindsDegradeInsteadOfFaulting) {
@@ -79,21 +87,20 @@ TEST(SimdCapsTest, UnsupportedKindsDegradeInsteadOfFaulting) {
 
 TEST(SimdCapsTest, KeysPerCompareMatchesRegisterWidth) {
   EXPECT_EQ(simd::KeysPerCompare(simd::SimdKind::kScalar), 1u);
-  EXPECT_EQ(simd::KeysPerCompare(simd::SimdKind::kSse), 2u);
   EXPECT_EQ(simd::KeysPerCompare(simd::SimdKind::kAvx2), 4u);
   EXPECT_EQ(simd::KeysPerCompare(simd::SimdKind::kAvx512), 8u);
 }
 
 TEST(SimdCapsTest, KindNamesRoundTrip) {
   for (const simd::SimdKind kind :
-       {simd::SimdKind::kScalar, simd::SimdKind::kSse,
-        simd::SimdKind::kAvx2, simd::SimdKind::kAvx512,
-        simd::SimdKind::kAuto}) {
+       {simd::SimdKind::kScalar, simd::SimdKind::kAvx2,
+        simd::SimdKind::kAvx512, simd::SimdKind::kAuto}) {
     const auto parsed = simd::ParseSimdKind(simd::SimdKindName(kind));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, kind);
   }
   EXPECT_FALSE(simd::ParseSimdKind("mmx").has_value());
+  EXPECT_FALSE(simd::ParseSimdKind("sse").has_value());
 }
 
 // ------------------------------------------------ advance kernels
@@ -394,7 +401,7 @@ TEST(SimdEngineTest, ScalarAndAutoProduceIdenticalJoinsAcrossMatrix) {
            {simd::SimdKind::kScalar, simd::SimdKind::kAuto}) {
         engine::EngineOptions options;
         options.workers = kWorkers;
-        options.simd = simd_kind;
+        SetSimd(options, simd_kind);
         engine::Engine engine(topology, options);
         CountFactory consumer(kWorkers);
         engine::JoinSpec join;
@@ -445,7 +452,6 @@ TEST(SimdEngineTest, ScatterDigitKnobIsAnIdentityAB) {
   for (const bool precompute : {false, true}) {
     engine::EngineOptions options;
     options.workers = kWorkers;
-    options.simd = simd::SimdKind::kAuto;
     options.mpsm.simd_scatter_digits = precompute;
     engine::Engine engine(topology, options);
     CountFactory consumer(kWorkers);
@@ -480,7 +486,7 @@ TEST(SimdEngineTest, UnsupportedForcedKindStillExecutes) {
 
   engine::EngineOptions options;
   options.workers = 4;
-  options.simd = simd::SimdKind::kAvx512;
+  SetSimd(options, simd::SimdKind::kAvx512);
   engine::Engine engine(topology, options);
   CountFactory consumer(4);
   engine::JoinSpec join;
@@ -508,7 +514,7 @@ TEST(SimdEngineTest, PlanSurfacesTheResolvedKind) {
 
   engine::EngineOptions options;
   options.workers = 8;
-  options.simd = simd::SimdKind::kScalar;
+  SetSimd(options, simd::SimdKind::kScalar);
   engine::Engine engine(topology, options);
   engine::JoinSpec join;
   join.r = &dataset.r;
